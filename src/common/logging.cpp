@@ -9,7 +9,10 @@ namespace detail {
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    // _Exit, not exit: static destructors (the worker pool's join among
+    // them) must not run while pool threads may be live. See logging.hpp.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 [[noreturn]] void

@@ -25,7 +25,11 @@ concatMessage(Args &&...args)
     return oss.str();
 }
 
-/** Print and exit(1): the condition is the user's fault. */
+/**
+ * Print, flush stdio, _Exit(1): the condition is the user's fault. No
+ * static destructors run, so live pool threads are never joined from a
+ * forked child or from themselves.
+ */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 
@@ -40,7 +44,9 @@ void informImpl(const std::string &msg);
 
 /**
  * Terminate with an error message for conditions caused by invalid input or
- * configuration (analogous to gem5's fatal()).
+ * configuration (analogous to gem5's fatal()): print, flush stdio, _Exit(1).
+ * No static destructors run, so live pool threads are never joined from a
+ * forked child or from themselves.
  */
 template <typename... Args>
 [[noreturn]] void

@@ -19,6 +19,11 @@
  * through the pool mutex, so everything the caller wrote before
  * parallelFor happens-before the workers' reads, and the workers' output
  * writes happen-before the caller's return.
+ *
+ * ~WorkerPool (a static destructor) joins the idle workers, so it runs
+ * only on a normal exit. BBS_FATAL leaves through _Exit and skips it:
+ * joining from a forked child that lacks the threads, or from a worker
+ * that raised the fatal, would crash instead of exiting with code 1.
  */
 #include "common/parallel.hpp"
 

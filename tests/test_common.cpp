@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the common utilities: stats, tables, RNG determinism and the
- * parallel loop.
+ * Tests for the common utilities: stats, tables, RNG determinism, the
+ * parallel loop and the fatal exit path while the worker pool is live.
  */
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
@@ -139,6 +143,51 @@ TEST(Parallel, HandlesEmptyAndTiny)
     EXPECT_EQ(count.load(), 0);
     parallelFor(3, [&](std::int64_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 3);
+}
+
+// A fatal error must exit with code 1 even after the persistent pool has
+// spawned its helpers. The default ("fast") death test forks the child
+// without those threads, so an exit path that joins them from a static
+// destructor crashes instead.
+TEST(Parallel, FatalExitsWithCodeOneWhilePoolIsWarm)
+{
+    std::atomic<int> count{0};
+    parallelFor(4096, [&](std::int64_t) { count.fetch_add(1); }, 1);
+    ASSERT_EQ(count.load(), 4096);
+    EXPECT_EXIT(BBS_FATAL("bad input with a warm pool"),
+                ::testing::ExitedWithCode(1), "bad input with a warm pool");
+}
+
+/** Fatal on a pool helper while the calling thread holds its own chunk. */
+void
+fatalOnPoolHelper()
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    parallelFor(2, [&](std::int64_t) {
+        if (std::this_thread::get_id() != caller)
+            BBS_FATAL("bad input on a pool helper");
+        // Keep the caller busy so the other chunk goes to a helper.
+        while (std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }, 1);
+}
+
+// A fatal error raised on a pool helper must exit with code 1: the exit
+// path must not join the helper from itself.
+TEST(Parallel, FatalOnPoolWorkerExitsWithCodeOne)
+{
+    if (maxWorkerThreads() < 2)
+        GTEST_SKIP() << "needs at least two worker threads";
+    // "threadsafe" re-executes the test binary, so the child starts a
+    // fresh pool whose helper raises the fatal.
+    std::string &style = ::testing::GTEST_FLAG(death_test_style);
+    const std::string saved = style;
+    style = "threadsafe";
+    EXPECT_EXIT(fatalOnPoolHelper(), ::testing::ExitedWithCode(1),
+                "bad input on a pool helper");
+    style = saved;
 }
 
 } // namespace
