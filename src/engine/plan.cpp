@@ -100,9 +100,9 @@ struct RunTimer
 #endif // BBS_OBS
 
 /**
- * The per-dot execution: the exact loop nest Int8Network::forwardPerDot
- * ran (weight channels outer and parallel, samples inner, groups in
- * ascending order), so plans resolve it bit-identically.
+ * The per-dot execution: weight channels outer and parallel, samples
+ * inner, groups in ascending order — the compressed-dot loop nest every
+ * other plan kind is pinned bit-identical to.
  */
 void
 runPerDot(const CompressedRowPlanes &w, const Int8Tensor &x,

@@ -1,8 +1,8 @@
 /**
  * @file
- * Session implementation, plus the engine free functions
- * (engine/forwarding.hpp) the compatibility wrappers delegate to — every
- * legacy entry point funnels through the plans defined here.
+ * Session implementation, plus the engine free functions over the
+ * default Session — each one runs through the same plans every other
+ * call path uses.
  */
 #include "engine/session.hpp"
 
@@ -204,20 +204,12 @@ Int32Tensor
 matmulCompressed(const CompressedRowPlanes &weights,
                  const BitSerialMatrix &activations)
 {
-    Int32Tensor out;
-    matmulCompressedInto(weights, activations, out);
-    return out;
-}
-
-void
-matmulCompressedInto(const CompressedRowPlanes &weights,
-                     const BitSerialMatrix &activations, Int32Tensor &out)
-{
     MatmulPlan plan = defaultSession().plan(
         PackedOperand::viewCompressed(weights), {},
         {PlanKind::CompressedBatched});
+    Int32Tensor out;
     plan.run(PackedOperand::viewDense(activations), out);
-    return;
+    return out;
 }
 
 } // namespace bbs::engine

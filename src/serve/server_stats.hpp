@@ -34,7 +34,7 @@ struct StatsSnapshot
     std::uint64_t shutdownRejected = 0; ///< ShutDown rejections
     std::uint64_t badRequests = 0;      ///< UnknownModel + BadInput
     std::uint64_t overloaded = 0;       ///< Overloaded admission sheds
-    std::uint64_t batches = 0;          ///< gemmCompressed calls
+    std::uint64_t batches = 0;          ///< batched forward passes
 
     /**
      * Latency estimators cover a sliding window of the most recent Ok

@@ -507,26 +507,13 @@ TEST(InferencePolicyTest, PoliciesMatchAcrossExecutionKinds)
                 ASSERT_EQ(rowCal.flat(i), autoRun.flat(i)) << "i=" << i;
         }
     }
-
-#if BBS_LEGACY_WRAPPERS
-    // The legacy method wrappers resolve to the same policies.
-    Batch x(Shape{5, ds.features});
-    for (std::int64_t i = 0; i < x.numel(); ++i)
-        x.flat(i) = ds.testX.flat(i);
-    Batch viaWrapper = engine.forwardRowCalibrated(x);
-    Batch viaPolicy = engine.forward(
-        x, InferencePolicy{bbs::engine::Calibration::PerRow,
-                           bbs::engine::PlanKind::Auto});
-    for (std::int64_t i = 0; i < viaWrapper.numel(); ++i)
-        ASSERT_EQ(viaWrapper.flat(i), viaPolicy.flat(i)) << "i=" << i;
-#endif
 }
 
-#if BBS_LEGACY_WRAPPERS
-TEST(LegacyWrappersTest, GemmWrappersPinnedToEngine)
+TEST(EngineFreeFunctionsTest, MatmulPinnedToAutoPlans)
 {
-    // The legacy GEMM free functions delegate through default-Session
-    // plans; fuzz them bit-identical against direct plan runs.
+    // engine::matmulBitSerial / matmulCompressed run default-Session
+    // plans forced to one kind; fuzz them bit-identical against plans
+    // that pick their kind themselves.
     Rng rng(88);
     for (int iter = 0; iter < 10; ++iter) {
         std::int64_t n = rng.uniformInt(1, 16);
@@ -537,27 +524,22 @@ TEST(LegacyWrappersTest, GemmWrappersPinnedToEngine)
 
         BitSerialMatrix ap = BitSerialMatrix::pack(acts);
         BitSerialMatrix wp = BitSerialMatrix::pack(w);
-        Int32Tensor viaWrapper = gemmBitSerial(ap, wp);
+        Int32Tensor viaForced = engine::matmulBitSerial(ap, wp);
         Session s;
         Int32Tensor viaPlan =
             s.plan(PackedOperand::viewDense(wp)).run(acts);
         for (std::int64_t i = 0; i < viaPlan.numel(); ++i)
-            ASSERT_EQ(viaWrapper.flat(i), viaPlan.flat(i)) << "i=" << i;
+            ASSERT_EQ(viaForced.flat(i), viaPlan.flat(i)) << "i=" << i;
 
         CompressedTensor ct = CompressedTensor::compress(
             w, 32, 3, PruneStrategy::ZeroPointShifting);
         CompressedRowPlanes planes = CompressedRowPlanes::prepare(ct);
-        Int32Tensor cWrapper = gemmCompressed(planes, ap);
-        Int32Tensor cInto;
-        gemmCompressedInto(planes, ap, cInto);
+        Int32Tensor cForced = engine::matmulCompressed(planes, ap);
         Int32Tensor cPlan = s.plan(s.pack(ct)).run(acts);
-        for (std::int64_t i = 0; i < cPlan.numel(); ++i) {
-            ASSERT_EQ(cWrapper.flat(i), cPlan.flat(i)) << "i=" << i;
-            ASSERT_EQ(cInto.flat(i), cPlan.flat(i)) << "i=" << i;
-        }
+        for (std::int64_t i = 0; i < cPlan.numel(); ++i)
+            ASSERT_EQ(cForced.flat(i), cPlan.flat(i)) << "i=" << i;
     }
 }
-#endif // BBS_LEGACY_WRAPPERS
 
 } // namespace
 } // namespace bbs

@@ -2,7 +2,7 @@
  * @file
  * Tests for the bit-serial GEMM engine: BitSerialMatrix packing is a
  * lossless round-trip, and both GEMM kernels (dense bit-serial and
- * compressed-domain) are pinned row-by-row against dotReference over
+ * compressed-domain) are pinned row-by-row against the reference dot over
  * fuzzed shapes — including ragged non-multiple-of-64 column tails and
  * all-pruned groups.
  */
@@ -12,7 +12,6 @@
 
 #include "common/parallel.hpp"
 #include "common/random.hpp"
-#include "core/bbs_dot.hpp"
 #include "engine/engine.hpp"
 #include "gemm/compressed_gemm.hpp"
 #include "gemm/gemm.hpp"
@@ -160,7 +159,8 @@ compressRows(const Int8Tensor &weights, std::int64_t groupSize,
     return out;
 }
 
-/** gemmCompressed pinned against dotReference on decompressed groups. */
+/** The compressed GEMM pinned against the reference dot on decompressed
+ *  groups. */
 void
 expectCompressedGemmExact(const Int8Tensor &weights,
                           const Int8Tensor &acts, std::int64_t groupSize,

@@ -8,10 +8,13 @@
  * wire, and the frame fuzzer — truncated frames, oversized lengths,
  * garbage magic, and mid-frame disconnects must never crash the
  * listener, leak a connection slot, or stall other connections.
+ * Generate frames at the model's vocab/maxSeq edges either stream the
+ * in-process oracle's tokens or are answered BadInput.
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/random.hpp"
@@ -85,6 +88,17 @@ struct NetFixture
     {
         net->stop();
         server->stop();
+    }
+
+    /** Serve @p sched under @p model; attachGeneration needs a
+     *  not-yet-started front-end, so this rebuilds it. */
+    void attachGeneration(const std::string &model,
+                          serve::GenerationScheduler *sched)
+    {
+        net->stop();
+        net = std::make_unique<net::NetServer>(*server);
+        net->attachGeneration(model, sched);
+        net->start();
     }
 
     net::NetClient connect(int recvTimeoutMs = 5000)
@@ -516,7 +530,9 @@ TEST(NetProtocol, GenerateAndStreamChunkFramesRoundTrip)
         {wire.data() + net::kHeaderBytes, h.bodyLen - 1}, sBack));
 }
 
-TEST(NetServe, GenerateStreamsByteExactTokens)
+/** The small decoder the Generate-frame tests serve. */
+llm::TransformerConfig
+smallLlmConfig()
 {
     llm::TransformerConfig mcfg;
     mcfg.dModel = 64;
@@ -526,18 +542,18 @@ TEST(NetServe, GenerateStreamsByteExactTokens)
     mcfg.vocab = 96;
     mcfg.maxSeq = 96;
     mcfg.seed = 11;
-    llm::TransformerModel model(mcfg);
+    return mcfg;
+}
+
+TEST(NetServe, GenerateStreamsByteExactTokens)
+{
+    llm::TransformerModel model(smallLlmConfig());
     serve::GenerationConfig gcfg;
     gcfg.workers = 1;
     serve::GenerationScheduler sched(model, gcfg);
 
     NetFixture fx;
-    // attachGeneration requires a not-yet-started server; rebuild the
-    // front-end with the generator wired in.
-    fx.net->stop();
-    fx.net = std::make_unique<net::NetServer>(*fx.server);
-    fx.net->attachGeneration("llm", &sched);
-    fx.net->start();
+    fx.attachGeneration("llm", &sched);
 
     std::vector<std::int32_t> prompt{5, 40, 2, 17, 33, 8, 21};
     auto expected = model.generateReference(prompt, 12);
@@ -582,6 +598,89 @@ TEST(NetServe, GenerateStreamsByteExactTokens)
     // A bad prompt (out-of-vocab token) fails with BadInput end to end.
     std::vector<std::int32_t> bad{1, 2, 9999};
     EXPECT_FALSE(c.generateCollect("llm", bad, 4, 102).has_value());
+}
+
+TEST(NetFuzz, GenerateFramesAtModelEdges)
+{
+    // Token ids and budgets at the vocab/maxSeq edges, straight off the
+    // wire: in range they stream the oracle's tokens, one past they are
+    // answered BadInput — none may reach a fatal check in forward().
+    const llm::TransformerConfig mcfg = smallLlmConfig();
+    llm::TransformerModel model(mcfg);
+    serve::GenerationConfig gcfg;
+    gcfg.workers = 1;
+    gcfg.defaultMaxNewTokens = 5;
+    serve::GenerationScheduler sched(model, gcfg);
+
+    NetFixture fx;
+    fx.attachGeneration("llm", &sched);
+    net::NetClient c = fx.connect();
+
+    struct Outcome
+    {
+        std::vector<std::int32_t> tokens; ///< Ok chunks, in order
+        std::uint8_t status = 0xff;       ///< the last chunk's status
+    };
+    std::uint64_t tag = 200;
+    auto run = [&](const std::vector<std::int32_t> &prompt,
+                   std::uint32_t budget) {
+        Outcome o;
+        EXPECT_TRUE(c.generate(
+            "llm", prompt, budget,
+            [&](const net::StreamChunkFrame &chunk) {
+                if (chunk.status == 0)
+                    o.tokens.push_back(chunk.token);
+                if (chunk.last)
+                    o.status = chunk.status;
+            },
+            ++tag));
+        return o;
+    };
+    const auto badInput = static_cast<std::uint8_t>(ServeStatus::BadInput);
+
+    // prompt + budget - 1 == maxSeq: the last fed position is maxSeq - 1,
+    // so the whole budget streams. One token more is rejected.
+    const std::vector<std::int32_t> prompt{5, 40, 2, 17, 33, 8, 21};
+    for (std::int64_t promptLen :
+         {static_cast<std::int64_t>(prompt.size()), mcfg.maxSeq}) {
+        std::vector<std::int32_t> p(static_cast<std::size_t>(promptLen));
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = prompt[i % prompt.size()];
+        const std::int64_t budget = mcfg.maxSeq - promptLen + 1;
+        Outcome edge = run(p, static_cast<std::uint32_t>(budget));
+        EXPECT_EQ(edge.status, 0) << "promptLen=" << promptLen;
+        EXPECT_EQ(static_cast<std::int64_t>(edge.tokens.size()), budget);
+        EXPECT_EQ(edge.tokens, model.generateReference(p, budget));
+
+        Outcome over = run(p, static_cast<std::uint32_t>(budget + 1));
+        EXPECT_EQ(over.status, badInput) << "promptLen=" << promptLen;
+        EXPECT_TRUE(over.tokens.empty());
+    }
+
+    // Token ids: vocab - 1 is the last valid one; vocab and any negative
+    // i32 are rejected.
+    const auto top = static_cast<std::int32_t>(mcfg.vocab - 1);
+    Outcome topOk = run({top, 0, top}, 4);
+    EXPECT_EQ(topOk.status, 0);
+    EXPECT_EQ(topOk.tokens, model.generateReference(
+                                std::vector<std::int32_t>{top, 0, top}, 4));
+    for (std::int32_t badId :
+         {static_cast<std::int32_t>(mcfg.vocab), std::int32_t{-1},
+          std::numeric_limits<std::int32_t>::min()}) {
+        Outcome o = run({3, badId, 4}, 4);
+        EXPECT_EQ(o.status, badInput) << "token=" << badId;
+        EXPECT_TRUE(o.tokens.empty());
+    }
+
+    // Budgets: the largest u32 is rejected; 0 takes the scheduler's
+    // default.
+    Outcome huge = run(prompt, 0xFFFFFFFFu);
+    EXPECT_EQ(huge.status, badInput);
+    EXPECT_TRUE(huge.tokens.empty());
+    Outcome dflt = run(prompt, 0);
+    EXPECT_EQ(dflt.status, 0);
+    EXPECT_EQ(dflt.tokens,
+              model.generateReference(prompt, gcfg.defaultMaxNewTokens));
 }
 
 } // namespace
